@@ -16,14 +16,14 @@ PRs. Every full (non --quick) run with --history appends a line; quick
 runs append too but are marked and never become the best-known reference.
 
 Usage:
-  scripts/bench_report.py --bench build/bench/bench_kernel \
-      [--sections kernel_storm,mesh16_saturated] \
+  scripts/bench_report.py [--bench build-bench/bench/bench_perf] \
+      [--sections kernel_storm,mesh16_advanced] \
       [--baseline old.json] [--out BENCH_kernel.json] [--quick] [--label txt] \
       [--history BENCH_history.jsonl]
 
-Any benchmark that takes --quick/--json=PATH and emits the per-section
-{events, wall_s, events_per_sec, allocs, allocs_per_event} layout works;
---sections names the JSON sections to track (defaults to bench_kernel's).
+The bench binary takes --sections=a,b,c, --quick and --json=PATH (the
+sections are forwarded, so only those points run) and emits every section
+with the same keys (MEASURE_KEYS).
 
 With --gbench, --bench is a google-benchmark binary instead (e.g.
 bench_queue_ops): each selected benchmark case becomes a history section
@@ -46,13 +46,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-DEFAULT_SECTIONS = "kernel_storm,mesh16_saturated"
-MEASURE_KEYS = ("events", "wall_s", "events_per_sec", "allocs", "allocs_per_event")
-# Scale-curve benches (bench_scale) add memory-footprint keys per section;
-# carried through to the --out document when present so BENCH_scale.json
-# records the bytes/host curve next to events/s.
-OPTIONAL_KEYS = ("hosts", "live_bytes", "bytes_per_host",
-                 "flows_admitted", "flows_departed")
+DEFAULT_SECTIONS = "kernel_storm,mesh16_advanced"
+MEASURE_KEYS = ("events", "wall_s", "setup_s", "events_per_sec", "allocs",
+                "allocs_per_event", "live_bytes", "hosts", "bytes_per_host")
 
 
 def machine_label() -> str:
@@ -98,11 +94,12 @@ def append_history(path: Path, bench_name: str, quick: bool, label: str,
     print(f"appended to {path}: {entry['machine']} @ {entry['commit']}")
 
 
-def run_bench(bench: Path, quick: bool) -> dict:
+def run_bench(bench: Path, quick: bool, sections: tuple) -> dict:
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
         tmp_path = Path(tmp.name)
     try:
-        cmd = [str(bench), f"--json={tmp_path}"]
+        cmd = [str(bench), f"--json={tmp_path}",
+               f"--sections={','.join(sections)}"]
         if quick:
             cmd.append("--quick")
         subprocess.run(cmd, check=True, stdout=sys.stderr)
@@ -151,23 +148,23 @@ def section_measurements(doc: dict, source: str, sections: tuple) -> dict:
         missing = [k for k in MEASURE_KEYS if k not in sec]
         if missing:
             raise SystemExit(f"error: {source} section '{name}' lacks {missing}")
-        keep = MEASURE_KEYS + tuple(k for k in OPTIONAL_KEYS if k in sec)
-        out[name] = {k: sec[k] for k in keep}
+        out[name] = {k: sec[k] for k in MEASURE_KEYS}
     return out
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--bench", type=Path, default=Path("build/bench/bench_kernel"),
-                    help="bench_kernel binary (default: build/bench/bench_kernel)")
+    ap.add_argument("--bench", type=Path,
+                    default=Path("build-bench/bench/bench_perf"),
+                    help="bench binary (default: build-bench/bench/bench_perf)")
     ap.add_argument("--baseline", type=Path, default=None,
-                    help="JSON from the pre-change kernel to record as baseline")
+                    help="JSON from the pre-change build to record as baseline")
     ap.add_argument("--out", type=Path, default=Path("BENCH_kernel.json"))
     ap.add_argument("--sections", default=DEFAULT_SECTIONS,
-                    help="comma-separated JSON sections the benchmark emits "
+                    help="comma-separated bench points to run and record "
                          f"(default: {DEFAULT_SECTIONS})")
     ap.add_argument("--quick", action="store_true",
-                    help="pass --quick to bench_kernel (CI smoke; noisier numbers)")
+                    help="pass --quick to the bench (CI smoke; noisier numbers)")
     ap.add_argument("--label", default="",
                     help="free-form note stored alongside the current run")
     ap.add_argument("--history", type=Path, default=None,
@@ -204,7 +201,7 @@ def main() -> int:
             print(f"  {name:<28} {ips:>14.1f} items/s")
         return 0
 
-    raw = run_bench(args.bench, args.quick)
+    raw = run_bench(args.bench, args.quick, sections)
     current = section_measurements(raw, "bench run", sections)
 
     if args.baseline is not None:

@@ -463,7 +463,7 @@ bool Simulator::drain_window(TimePoint limit, ShardWindowLog& log) {
     const std::size_t rec_idx = log.fires.size();
     // Log capacity is retained across windows (reset() clears, never
     // shrinks), so steady-state appends are allocation-free.
-    log.fires.push_back(rec);  // dqos-lint: allow(hot-path-alloc)
+    log.fires.push_back(rec);  // dqos-lint: allow(hot-path-transitive)
     fn();
     // Nothing else appends to `fires` while the closure runs, so the
     // record's index is stable even though the vector may have grown.

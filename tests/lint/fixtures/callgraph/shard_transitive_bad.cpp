@@ -1,6 +1,6 @@
 // Pretends to live at src/fab/shard_chain.cpp. The shard region itself
 // only calls a helper — but the helper reaches the calendar directly,
-// which the per-file cross-shard-access rule cannot see.
+// which only the call-graph walk past depth 0 can see.
 namespace fab {
 
 struct Calendar {

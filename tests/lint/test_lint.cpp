@@ -256,7 +256,7 @@ TEST(LintRules, PacketFreeOutsideSrcIsNotSimState) {
       << testing::PrintToString(rules_of(fs));
 }
 
-// ------------------------------------------------- rule: hot-path-alloc
+// ------------------------------ markers: `dqos-lint: hot` / `dqos-lint: shard`
 
 TEST(LintLexer, HotMarkerRecordsItsLineWithWordBoundary) {
   const LexedFile lx = lex(
@@ -266,60 +266,12 @@ TEST(LintLexer, HotMarkerRecordsItsLineWithWordBoundary) {
   EXPECT_EQ(lx.hot_marks, (std::set<int>{1}));
 }
 
-TEST(LintRules, HotAllocFixtureFlagsNewMakeUniqueAndGrowth) {
-  const auto fs =
-      lint_source("src/sim/drain_bad.cpp", slurp("hot_alloc_bad.cpp"));
-  EXPECT_EQ(count_rule(fs, "hot-path-alloc"), 3)
-      << testing::PrintToString(rules_of(fs));
-  std::set<int> lines;
-  for (const Finding& f : fs) {
-    if (f.rule == "hot-path-alloc") lines.insert(f.line);
-  }
-  EXPECT_EQ(lines, (std::set<int>{10, 11, 12}));
-}
-
-TEST(LintRules, HotAllocSuppressionAndUnmarkedFunctionsLintClean) {
-  const auto fs =
-      lint_source("src/sim/drain_ok.cpp", slurp("hot_alloc_allowed.cpp"));
-  EXPECT_EQ(count_rule(fs, "hot-path-alloc"), 0)
-      << testing::PrintToString(rules_of(fs));
-}
-
-TEST(LintRules, HotAllocIsMarkerDrivenSoItAppliesOutsideSrcToo) {
-  // Unlike the directory-scoped rules, `dqos-lint: hot` is a claim the
-  // author makes wherever the function lives (e.g. a header-only util).
-  const auto fs =
-      lint_source("tools/somewhere.cpp", slurp("hot_alloc_bad.cpp"));
-  EXPECT_EQ(count_rule(fs, "hot-path-alloc"), 3)
-      << testing::PrintToString(rules_of(fs));
-}
-
 TEST(LintLexer, ShardMarkerRecordsItsLineWithWordBoundary) {
   const LexedFile lx = lex(
       "// dqos-lint: shard\n"
       "void f() {}\n"
       "// dqos-lint: sharded\n");
   EXPECT_EQ(lx.shard_marks, (std::set<int>{1}));
-}
-
-TEST(LintRules, CrossShardFixtureFlagsDirectCalendarCalls) {
-  const auto fs =
-      lint_source("src/switchfab/window_bad.cpp", slurp("cross_shard_bad.cpp"));
-  EXPECT_EQ(count_rule(fs, "cross-shard-access"), 3)
-      << testing::PrintToString(rules_of(fs));
-  std::set<int> lines;
-  for (const Finding& f : fs) {
-    if (f.rule == "cross-shard-access") lines.insert(f.line);
-  }
-  // The serial-path call after the marked block closes must NOT fire.
-  EXPECT_EQ(lines, (std::set<int>{8, 9, 10}));
-}
-
-TEST(LintRules, CrossShardMailboxUsageAndSuppressionLintClean) {
-  const auto fs = lint_source("src/switchfab/window_ok.cpp",
-                              slurp("cross_shard_allowed.cpp"));
-  EXPECT_EQ(count_rule(fs, "cross-shard-access"), 0)
-      << testing::PrintToString(rules_of(fs));
 }
 
 // --------------------------------------------------- tree walk + headers
@@ -666,17 +618,72 @@ TEST(LintTransitive, HotPathSuppressedNegativeLintsClean) {
       << testing::PrintToString(rules_of(r.findings));
 }
 
-TEST(LintTransitive, HotRootOwnBodyIsLeftToThePerFileRule) {
-  // The root's own allocation is hot-path-alloc (depth 0), never
-  // double-reported as hot-path-transitive.
+TEST(LintTransitive, HotRootOwnBodyIsFlaggedAtDepthZero) {
+  // The root's own allocation is the transitive rule's too: one rule id
+  // per invariant.
   const TreeReport r = lint_sources({{"src/fab/self.cpp",
                                       "#include <vector>\n"
                                       "std::vector<int> v;\n"
                                       "// dqos-lint: hot\n"
                                       "void f() { v.push_back(1); }\n"}});
+  ASSERT_EQ(count_rule(r.findings, "hot-path-transitive"), 1)
+      << testing::PrintToString(rules_of(r.findings));
+  const auto it =
+      std::find_if(r.findings.begin(), r.findings.end(), [](const Finding& f) {
+        return f.rule == "hot-path-transitive";
+      });
+  EXPECT_EQ(it->line, 4);
+  EXPECT_NE(it->message.find("the `dqos-lint: hot` function 'f'"),
+            std::string::npos)
+      << it->message;
+}
+
+TEST(LintTransitive, AllowFileWaivesCalleesButNotTheHotRootsOwnBody) {
+  // The file-wide marker covers grow() (depth 1), not f's own growth.
+  const TreeReport r = lint_sources(
+      {{"src/fab/cal.cpp",
+        "// dqos-lint: allow-file(hot-path-transitive)\n"
+        "#include <vector>\n"
+        "std::vector<int> v;\n"
+        "void grow() { v.push_back(2); }\n"
+        "// dqos-lint: hot\n"
+        "void f() { v.push_back(1); grow(); }\n"}});
+  ASSERT_EQ(count_rule(r.findings, "hot-path-transitive"), 1)
+      << testing::PrintToString(rules_of(r.findings));
+  const auto it =
+      std::find_if(r.findings.begin(), r.findings.end(), [](const Finding& f) {
+        return f.rule == "hot-path-transitive";
+      });
+  EXPECT_EQ(it->line, 6);
+}
+
+TEST(LintRules, HotAllocFixtureFlagsNewMakeUniqueAndGrowth) {
+  const TreeReport r = lint_sources(
+      {{"src/sim/drain_bad.cpp", slurp("callgraph/hot_root_bad.cpp")}});
+  EXPECT_EQ(count_rule(r.findings, "hot-path-transitive"), 3)
+      << testing::PrintToString(rules_of(r.findings));
+  std::set<int> lines;
+  for (const Finding& f : r.findings) {
+    if (f.rule == "hot-path-transitive") lines.insert(f.line);
+  }
+  // Line 15's growth is in an unmarked function nothing hot calls.
+  EXPECT_EQ(lines, (std::set<int>{10, 11, 12}));
+}
+
+TEST(LintRules, HotAllocSuppressionAndUnmarkedFunctionsLintClean) {
+  const TreeReport r = lint_sources(
+      {{"src/sim/drain_ok.cpp", slurp("callgraph/hot_root_allowed.cpp")}});
   EXPECT_EQ(count_rule(r.findings, "hot-path-transitive"), 0)
       << testing::PrintToString(rules_of(r.findings));
-  EXPECT_EQ(count_rule(r.findings, "hot-path-alloc"), 1);
+}
+
+TEST(LintRules, HotAllocIsMarkerDrivenSoItAppliesOutsideSrcToo) {
+  // Unlike the directory-scoped rules, `dqos-lint: hot` is a claim the
+  // author makes wherever the function lives (e.g. a header-only util).
+  const TreeReport r = lint_sources(
+      {{"tools/somewhere.cpp", slurp("callgraph/hot_root_bad.cpp")}});
+  EXPECT_EQ(count_rule(r.findings, "hot-path-transitive"), 3)
+      << testing::PrintToString(rules_of(r.findings));
 }
 
 // ------------------------------------------------------ rule: shard-ownership
@@ -702,6 +709,28 @@ TEST(LintTransitive, ShardSuppressedNegativeLintsClean) {
   const TreeReport r = lint_sources(
       {{"src/fab/shard_chain_ok.cpp",
         slurp("callgraph/shard_transitive_allowed.cpp")}});
+  EXPECT_EQ(count_rule(r.findings, "shard-ownership"), 0)
+      << testing::PrintToString(rules_of(r.findings));
+}
+
+TEST(LintRules, CrossShardFixtureFlagsDirectCalendarCalls) {
+  const TreeReport r = lint_sources(
+      {{"src/switchfab/window_bad.cpp",
+        slurp("callgraph/shard_region_bad.cpp")}});
+  EXPECT_EQ(count_rule(r.findings, "shard-ownership"), 3)
+      << testing::PrintToString(rules_of(r.findings));
+  std::set<int> lines;
+  for (const Finding& f : r.findings) {
+    if (f.rule == "shard-ownership") lines.insert(f.line);
+  }
+  // The serial-path call after the marked block closes must NOT fire.
+  EXPECT_EQ(lines, (std::set<int>{8, 9, 10}));
+}
+
+TEST(LintRules, CrossShardMailboxUsageAndSuppressionLintClean) {
+  const TreeReport r = lint_sources(
+      {{"src/switchfab/window_ok.cpp",
+        slurp("callgraph/shard_region_allowed.cpp")}});
   EXPECT_EQ(count_rule(r.findings, "shard-ownership"), 0)
       << testing::PrintToString(rules_of(r.findings));
 }

@@ -55,7 +55,7 @@ void scan_comment(const std::string& text, int line, LexedFile& out) {
              (p + 5 >= text.size() ||
               std::isalnum(static_cast<unsigned char>(text[p + 5])) == 0)) {
     // The `shard` mark: the enclosing block runs on a shard worker
-    // (cross-shard-access applies to it).
+    // (shard-ownership applies to it).
     out.shard_marks.insert(line);
     return;
   } else {

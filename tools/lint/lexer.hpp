@@ -12,10 +12,10 @@
 ///   // dqos-lint: allow-file(rule-a)      — suppresses for the whole file
 ///   // dqos-lint: hot                     — marks the function that starts
 ///                                           on/after this line as hot-path
-///                                           (hot-path-alloc applies to it)
+///                                           (hot-path-transitive applies)
 ///   // dqos-lint: shard                   — marks the enclosing block as
 ///                                           shard-worker code
-///                                           (cross-shard-access applies)
+///                                           (shard-ownership applies)
 ///
 /// Line numbers are 1-based and attached to every token so findings print
 /// as `file:line: [rule-id] message`.
@@ -53,10 +53,10 @@ struct LexedFile {
   /// Every marker occurrence in source order (one entry per rule id).
   std::vector<AllowMarker> allow_markers;
   /// Lines carrying a `dqos-lint: hot` marker: the next function body at
-  /// or after each is subject to the hot-path-alloc rule.
+  /// or after each is a hot-path-transitive root.
   std::set<int> hot_marks;
   /// Lines carrying a `dqos-lint: shard` marker: the block enclosing each
-  /// (to its closing brace) is subject to the cross-shard-access rule.
+  /// (to its closing brace) is subject to the shard-ownership rule.
   std::set<int> shard_marks;
 
   /// True if `rule` is suppressed at `line` (by a same-line marker, a

@@ -295,110 +295,6 @@ void check_packet_free(const Sink& sink) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// hot-path-alloc
-// ---------------------------------------------------------------------------
-
-/// Enforces `// dqos-lint: hot` markers: the next function body at or after
-/// each marked line must contain no heap allocation and no growing
-/// container call. Only the *direct* body is scanned (callees make their
-/// own claim with their own marker), so annotate functions whose own
-/// statements are allocation-free.
-void check_hot_path_alloc(const Sink& sink) {
-  if (sink.lx.hot_marks.empty()) return;
-  const TokenVec& t = sink.lx.tokens;
-  for (const int mark : sink.lx.hot_marks) {
-    // The marked function's body: the first `{` at or after the marker
-    // line, brace-matched to its close.
-    std::size_t open = t.size();
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (t[i].line >= mark && is_punct(t, i, "{")) {
-        open = i;
-        break;
-      }
-    }
-    int depth = 0;
-    for (std::size_t i = open; i < t.size(); ++i) {
-      if (t[i].kind == Token::Kind::kPunct) {
-        if (t[i].text == "{") ++depth;
-        else if (t[i].text == "}" && --depth == 0) break;
-        continue;
-      }
-      if (t[i].kind != Token::Kind::kIdent) continue;
-      if (t[i].text == "new") {
-        sink.add(t[i].line, "hot-path-alloc",
-                 "'new' inside a `dqos-lint: hot` function — the batch "
-                 "drain / scan / flush paths must not allocate "
-                 "(preallocate at construction; DESIGN.md §11)");
-        continue;
-      }
-      for (const char* id : tables::kAllocIdents) {
-        if (t[i].text == id) {
-          sink.add(t[i].line, "hot-path-alloc",
-                   "'" + t[i].text + "' inside a `dqos-lint: hot` function "
-                                     "— hot paths must not allocate");
-        }
-      }
-      for (const char* call : tables::kGrowthCalls) {
-        if (t[i].text != call || !is_punct(t, i + 1, "(")) continue;
-        if (i == 0 || (!is_punct(t, i - 1, ".") && !is_punct(t, i - 1, "->"))) {
-          continue;
-        }
-        sink.add(t[i].line, "hot-path-alloc",
-                 "'." + t[i].text + "()' inside a `dqos-lint: hot` function "
-                                    "— container growth can reallocate; "
-                                    "keep the steady state allocation-free");
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// cross-shard-access
-// ---------------------------------------------------------------------------
-
-/// Enforces `// dqos-lint: shard` markers: the marked block runs on a
-/// shard worker while other shards run concurrently, so it may not talk
-/// to another shard's calendar or components directly — cross-shard
-/// traffic goes through the engine's mailbox API (outbox CrossMsg /
-/// CrossArrivalNote), which the barrier replays in serial order. Direct
-/// calendar calls (schedule_at / schedule_after / schedule_keyed) inside
-/// a shard region are therefore flagged: even a keyed insert races the
-/// owning worker's drain.
-void check_cross_shard_access(const Sink& sink) {
-  if (sink.lx.shard_marks.empty()) return;
-  const TokenVec& t = sink.lx.tokens;
-  for (const int mark : sink.lx.shard_marks) {
-    // The marked region: from the first token at/after the marker line to
-    // the `}` closing the block that was open where the marker sits.
-    std::size_t begin = t.size();
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (t[i].line >= mark) {
-        begin = i;
-        break;
-      }
-    }
-    int depth = 0;
-    for (std::size_t i = begin; i < t.size(); ++i) {
-      if (t[i].kind == Token::Kind::kPunct) {
-        if (t[i].text == "{") ++depth;
-        else if (t[i].text == "}" && --depth < 0) break;  // region closed
-        continue;
-      }
-      if (t[i].kind != Token::Kind::kIdent) continue;
-      for (const char* call : tables::kDirectCalendarCalls) {
-        if (t[i].text != call || !is_punct(t, i + 1, "(")) continue;
-        sink.add(t[i].line, "cross-shard-access",
-                 "'" + t[i].text + "()' inside a `dqos-lint: shard` region — "
-                                   "worker code must not touch a calendar "
-                                   "directly; post a CrossMsg/note through "
-                                   "the mailbox API and let the barrier "
-                                   "deliver it");
-      }
-    }
-  }
-}
-
 }  // namespace
 
 bool wallclock_call_site(const std::vector<Token>& t, std::size_t i) {
@@ -454,8 +350,6 @@ void run_rules(const std::string& rel_path, const LexedFile& lx,
                std::vector<Finding>& out) {
   const FileScope scope = classify(rel_path);
   const Sink sink{rel_path, lx, out};
-  check_hot_path_alloc(sink);      // marker-driven: applies wherever marked
-  check_cross_shard_access(sink);  // marker-driven, like hot-path-alloc
   if (!scope.rng_exempt) check_wallclock(sink);
   if (scope.hot_path) check_type_erasure(sink);
   if (scope.sim_state) {

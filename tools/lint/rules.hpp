@@ -16,20 +16,20 @@
 ///                          | de-virtualized hot path (src/sim, src/switchfab)
 ///   float-time-accum       | accumulating simulated time in floating point
 ///                          | (drift can reorder deadlines; time is int ps)
+///                          | anywhere in src/. Not a twin of
+///                          | float-time-transitive, which only catches
+///                          | FP-returning *calls* accumulated on merge /
+///                          | replay paths; this rule catches FP time
+///                          | variables wherever they are declared
 ///   unaudited-packet-free  | PacketPtr reset / nullptr-assignment in src/
 ///                          | (drop paths must retire_packet() so the
 ///                          | auditor's custody census stays exact)
-///   hot-path-alloc         | heap allocation (new/make_unique/malloc) or
-///                          | container growth (push_back/insert/resize/…)
-///                          | inside a function marked `// dqos-lint: hot`
-///                          | (the batch drain / argmin scan / credit flush
-///                          | paths must stay allocation-free)
-///   cross-shard-access     | direct calendar calls (schedule_at / keyed /
-///                          | run_until) inside a `// dqos-lint: shard`
-///                          | block — shard-worker code crosses shards
-///                          | only through the engine's mailbox API
 ///   header-standalone      | headers that do not compile on their own
 ///                          | (checked by the driver, not a token rule)
+///
+/// The `// dqos-lint: hot` and `// dqos-lint: shard` invariants have one
+/// rule each, hot-path-transitive and shard-ownership (transitive.hpp):
+/// both start at depth 0, the marked function's or region's own code.
 ///
 /// Every rule is suppressible via `// dqos-lint: allow(rule-id)` — see
 /// lexer.hpp for the marker grammar.

@@ -61,6 +61,17 @@ void add(const Index& idx, const FunctionDef& def, int line, const char* rule,
                         u.lx.allowed(rule, line)});
 }
 
+/// Depth-0 findings sit in code the marker's author vouched for, so only a
+/// line-scoped `allow(...)` waives them. An `allow-file(...)` covers the
+/// file's reachable callees, never a marked function's or region's own code.
+void add_depth0(const Unit& u, int line, const char* rule, std::string message,
+                std::vector<Finding>& out) {
+  const int m = u.lx.match(rule, line);
+  out.push_back(Finding{
+      u.file, line, rule, std::move(message),
+      m >= 0 && !u.lx.allow_markers[static_cast<std::size_t>(m)].file_scope});
+}
+
 // ---------------------------------------------------------------------------
 // hot-path-transitive
 // ---------------------------------------------------------------------------
@@ -127,15 +138,20 @@ void rule_hot_path_transitive(const Index& idx, const CallGraph& graph,
   if (roots.empty()) return;
   const Reach reach = reach_from(idx, graph, roots);
   for (const FunctionDef& d : idx.defs) {
-    // Roots audit their own body via the per-file hot-path-alloc rule;
-    // the transitive rule owns everything at depth >= 1.
-    if (reach.depth[static_cast<std::size_t>(d.id)] < 1) continue;
+    // Depth 0 is the hot root's own body.
+    if (!reach.reached(d.id)) continue;
+    const std::string where =
+        d.hot ? "the `dqos-lint: hot` function '" + d.qualified + "'"
+              : "'" + d.qualified +
+                    "', reachable from a `dqos-lint: hot` root via " +
+                    chain_string(idx, reach, d.id);
     for (const Offense& o : hot_offenses(idx, d)) {
-      add(idx, d, o.line, "hot-path-transitive",
-          o.what + " in '" + d.qualified +
-              "', reachable from a `dqos-lint: hot` root via " +
-              chain_string(idx, reach, d.id),
-          out);
+      const std::string message = o.what + " in " + where;
+      if (d.hot) {
+        add_depth0(idx.unit_of(d), o.line, "hot-path-transitive", message, out);
+      } else {
+        add(idx, d, o.line, "hot-path-transitive", message, out);
+      }
     }
   }
 }
@@ -144,11 +160,30 @@ void rule_hot_path_transitive(const Index& idx, const CallGraph& graph,
 // shard-ownership
 // ---------------------------------------------------------------------------
 
+bool direct_calendar_call(const std::string& callee) {
+  const std::size_t colon = callee.rfind("::");
+  const std::string name =
+      colon == std::string::npos ? callee : callee.substr(colon + 2);
+  return std::any_of(tables::kDirectCalendarCalls.begin(),
+                     tables::kDirectCalendarCalls.end(),
+                     [&](const char* call) { return name == call; });
+}
+
 void rule_shard_ownership(const Index& idx, const CallGraph& graph,
                           std::vector<Finding>& out) {
   for (const ShardRegion& region : idx.shard_regions) {
+    const Unit& u = idx.units[static_cast<std::size_t>(region.unit)];
+    const std::string where = u.file + ":" + std::to_string(region.marker_line);
     std::set<int> root_set;
     for (const CallSite& c : region.calls) {
+      // Depth 0: the region's own call sites.
+      if (direct_calendar_call(c.callee)) {
+        add_depth0(u, c.line, "shard-ownership",
+                   "direct calendar call '" + c.callee +
+                       "' inside the `dqos-lint: shard` region at " + where +
+                       " — cross-shard effects must go through the mailbox API",
+                   out);
+      }
       for (const int d : resolve_call(idx, region.enclosing_def, c)) {
         root_set.insert(d);
       }
@@ -156,21 +191,15 @@ void rule_shard_ownership(const Index& idx, const CallGraph& graph,
     if (root_set.empty()) continue;
     const std::vector<int> roots(root_set.begin(), root_set.end());
     const Reach reach = reach_from(idx, graph, roots);
-    const std::string where =
-        idx.units[static_cast<std::size_t>(region.unit)].file + ":" +
-        std::to_string(region.marker_line);
     for (const FunctionDef& d : idx.defs) {
       if (!reach.reached(d.id)) continue;
-      // The region's own statements are the per-file cross-shard-access
-      // rule's job; reached callees are ours.
       const TokenVec& t = idx.unit_of(d).lx.tokens;
       for (std::size_t i = d.body_begin + 1;
            i + 1 < d.body_end && i < t.size(); ++i) {
         if (t[i].kind != Token::Kind::kIdent || !is_punct(t, i + 1, "(")) {
           continue;
         }
-        for (const char* call : tables::kDirectCalendarCalls) {
-          if (t[i].text != call) continue;
+        if (direct_calendar_call(t[i].text)) {
           add(idx, d, t[i].line, "shard-ownership",
               "direct calendar call '" + t[i].text +
                   "' reachable from the `dqos-lint: shard` region at " +

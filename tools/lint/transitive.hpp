@@ -7,16 +7,18 @@
 ///
 ///   rule id               | guards against
 ///   ----------------------|-------------------------------------------
-///   hot-path-transitive   | allocation / type erasure / wall-clock in
-///                         | any function *reachable* from a
-///                         | `// dqos-lint: hot` root (the per-file
-///                         | hot-path-alloc rule only audits the root's
-///                         | own body)
+///   hot-path-transitive   | allocation / container growth / type
+///                         | erasure / wall-clock in a
+///                         | `// dqos-lint: hot` function's own body
+///                         | (depth 0) or in any function reachable
+///                         | from it (the batch drain / argmin scan /
+///                         | credit flush paths stay allocation-free)
 ///   shard-ownership       | direct calendar calls (schedule_at / keyed
-///                         | / run_until) reachable from the calls made
-///                         | inside a `// dqos-lint: shard` region —
-///                         | shard workers cross shards only through
-///                         | the engine's mailbox API
+///                         | / run_until) made inside a
+///                         | `// dqos-lint: shard` region (depth 0) or
+///                         | reachable from its calls — shard workers
+///                         | cross shards only through the engine's
+///                         | mailbox API
 ///   rng-stream-discipline | (a) a named split-stream constant (e.g.
 ///                         | 0xbacc0ff5) seeded from more than one
 ///                         | subsystem, (b) one function drawing from

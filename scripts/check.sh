@@ -138,10 +138,21 @@ if [[ $run_perf_smoke -eq 1 ]]; then
 
   # The phased scenario path at Release optimization levels: same churn
   # config as the ASAN smoke, shortened so it adds seconds, not minutes.
-  build-bench/tools/dqos_sim --scenario=configs/mesh16_churn.cfg \
-      --measure-ms=4 --drain-ms=1 --phase.1.start-ms=1 --phase.2.start-ms=3 \
-      > /dev/null
-  echo "scenario smoke OK (Release)"
+  # Serial and 3-shard runs must write the same bytes, per-phase CSV rows
+  # included (the relay replay fills the phase stores too).
+  for shards in 1 3; do
+    build-bench/tools/dqos_sim --scenario=configs/mesh16_churn.cfg \
+        --measure-ms=4 --drain-ms=1 --phase.1.start-ms=1 \
+        --phase.2.start-ms=3 --shards="$shards" \
+        --csv="build-bench/churn_shards$shards.csv" > /dev/null
+    # Overload with faults; control retry is serial-only, so it is off.
+    build-bench/tools/dqos_sim --scenario=configs/mesh16_overload.cfg \
+        --no-control-retry --shards="$shards" \
+        > "build-bench/overload_shards$shards.out"
+  done
+  cmp build-bench/churn_shards1.csv build-bench/churn_shards3.csv
+  cmp build-bench/overload_shards1.out build-bench/overload_shards3.out
+  echo "scenario smoke OK (Release; serial == 3 shards)"
 
   smoke_json=build-bench/bench_perf_smoke.json
   build-bench/bench/bench_perf --sections=kernel_storm --quick \

@@ -401,6 +401,9 @@ std::string config_to_string(const SimConfig& cfg) {
   out << "mtu=" << cfg.mtu_bytes << "\n";
   out << "link-gbps=" << cfg.link_bw.gbps() << "\n";
   out << "link-latency-ns=" << cfg.link_latency.ps() / 1000 << "\n";
+  if (cfg.heap_op_latency != Duration::zero()) {  // gated: legacy dump bytes
+    out << "heap-op-ns=" << cfg.heap_op_latency.ps() / 1000 << "\n";
+  }
   if (cfg.shards != 1) out << "shards=" << cfg.shards << "\n";
   if (cfg.shard_threads != -1) out << "shard-threads=" << cfg.shard_threads << "\n";
   out << "warmup-ms=" << cfg.warmup.ms() << "\n";

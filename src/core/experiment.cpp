@@ -35,7 +35,7 @@ std::vector<SweepPoint> run_sweep(const SimConfig& base,
   std::vector<SimConfig> cfgs;
   std::vector<Scenario> scns;
   cfgs.reserve(archs.size() * loads.size());
-  if (scenario) scns.reserve(archs.size() * loads.size());
+  scns.reserve(archs.size() * loads.size());
   for (const SwitchArch arch : archs) {
     for (const double load : loads) {
       SimConfig cfg = base;
@@ -49,6 +49,8 @@ std::vector<SweepPoint> run_sweep(const SimConfig& base,
         const std::string problem = scn.check(cfg);
         if (!problem.empty()) throw RunError("scenario error: " + problem);
         scns.push_back(std::move(scn));
+      } else {
+        scns.push_back(Scenario::single_phase(cfg));
       }
       cfgs.push_back(std::move(cfg));
     }
@@ -63,13 +65,7 @@ std::vector<SweepPoint> run_sweep(const SimConfig& base,
   SweepRunner runner(threads, width);
   runner.run(cfgs.size(), [&](std::size_t i) {
     NetworkSimulator net(cfgs[i]);
-    SimReport rep;
-    if (scenario) {
-      RunController rc(net, scns[i]);
-      rep = rc.run().total;
-    } else {
-      rep = net.run();
-    }
+    SimReport rep = RunController(net, scns[i]).run().total;
     char line[160];
     std::snprintf(line, sizeof line, "  [run] %-17s load=%.2f done (%llu pkts, %llu events)",
                   std::string(to_string(cfgs[i].arch)).c_str(), cfgs[i].load,

@@ -587,37 +587,55 @@ SimReport NetworkSimulator::collect_report(TimePoint t0) {
   for (const TrafficClass c : all_traffic_classes()) {
     rep.classes[static_cast<std::size_t>(c)] = metrics_->report(c);
   }
-  rep.order_errors = total_order_errors();
-  rep.order_errors_regulated = total_order_errors_vc(kRegulatedVc);
-  rep.takeovers = total_takeovers();
-  rep.credit_stalls = total_credit_stalls();
+  rep.metrics = metrics_;
+  rep.events_processed =
+      engine_ ? engine_->events_processed() : sim_.events_processed();
+  rep.flows_admitted = admission_->admitted_flows();
+  rep.flows_rejected = admission_->rejected_flows();
+
+  // Component counters: one fold per component family.
+  for (const auto& s : switches_) {
+    rep.order_errors += s->order_errors();
+    rep.order_errors_regulated += s->order_errors_vc(kRegulatedVc);
+    rep.takeovers += s->takeovers();
+    rep.credit_stalls += s->counters().credit_stalls;
+    rep.fault.packets_dropped_link_down += s->counters().dropped_link_down;
+    rep.fault.link_down_stalls += s->counters().link_down_stalls;
+  }
   for (const auto& h : hosts_) {
     rep.out_of_order += h->out_of_order_deliveries();
     rep.best_effort_drops += h->best_effort_drops();
     rep.packets_injected += h->packets_injected();
     rep.packets_delivered += h->packets_received();
-  }
-  rep.events_processed =
-      engine_ ? engine_->events_processed() : sim_.events_processed();
-  rep.flows_admitted = admission_->admitted_flows();
-  rep.flows_rejected = admission_->rejected_flows();
-  rep.metrics = metrics_;
-
-  rep.fault.active = fault_active_;
-  rep.fault.injected = injector_->stats();
-  for (const auto& ch : channels_) {
-    rep.fault.credit_resyncs += ch->resyncs();
-    rep.fault.credit_bytes_resynced += ch->resynced_bytes();
-  }
-  for (const auto& s : switches_) {
-    rep.fault.packets_dropped_link_down += s->counters().dropped_link_down;
-    rep.fault.link_down_stalls += s->counters().link_down_stalls;
-  }
-  for (const auto& h : hosts_) {
     rep.fault.control_retries += h->control_retries();
     rep.fault.control_retries_abandoned += h->control_retries_abandoned();
     rep.fault.shed_submissions += h->shed_submissions();
+    rep.degradation.expired_packets += h->expired_packets();
+    rep.degradation.expired_bytes += h->expired_bytes();
+    rep.degradation.flows_aborted += h->flows_aborted();
   }
+  for (const auto& src : sources_) {
+    rep.degradation.frames_dropped += src->frames_dropped();
+    rep.degradation.messages_refused += src->messages_refused();
+  }
+  // Channels: credit resyncs, and per-tier link utilization over the run.
+  const double elapsed_sec = (sim_.now() - t0).sec();
+  std::array<StreamingStats, 3> tiers;
+  for (std::size_t i = 0; i < channels_.size(); ++i) {
+    const Channel& ch = *channels_[i];
+    rep.fault.credit_resyncs += ch.resyncs();
+    rep.fault.credit_bytes_resynced += ch.resynced_bytes();
+    if (elapsed_sec > 0.0) {
+      tiers[static_cast<std::size_t>(channel_tier_[i])].add(
+          ch.busy_time().sec() / elapsed_sec);
+    }
+  }
+  rep.util_injection = {tiers[0].mean(), tiers[0].max()};
+  rep.util_delivery = {tiers[1].mean(), tiers[1].max()};
+  rep.util_fabric = {tiers[2].mean(), tiers[2].max()};
+
+  rep.fault.active = fault_active_;
+  rep.fault.injected = injector_->stats();
   rep.fault.flows_rerouted = admission_->flows_rerouted();
   rep.fault.flows_shed = admission_->flows_shed();
   if (watchdog_) {
@@ -626,30 +644,9 @@ SimReport NetworkSimulator::collect_report(TimePoint t0) {
   }
   rep.queue_depth = queue_depth_series_;
   rep.injected_bytes = injection_series_;
-
-  for (const auto& h : hosts_) {
-    rep.degradation.expired_packets += h->expired_packets();
-    rep.degradation.expired_bytes += h->expired_bytes();
-    rep.degradation.flows_aborted += h->flows_aborted();
-  }
-  rep.degradation.frames_dropped = total_frames_dropped();
-  rep.degradation.messages_refused = total_messages_refused();
   if (auditor_) {
     auditor_->audit_now("collect_report");
     rep.degradation.audits_passed = auditor_->audits_passed();
-  }
-
-  // Per-tier link utilization over the whole run.
-  const double elapsed_sec = (sim_.now() - t0).sec();
-  if (elapsed_sec > 0.0) {
-    std::array<StreamingStats, 3> tiers;
-    for (std::size_t i = 0; i < channels_.size(); ++i) {
-      tiers[static_cast<std::size_t>(channel_tier_[i])].add(
-          channels_[i]->busy_time().sec() / elapsed_sec);
-    }
-    rep.util_injection = {tiers[0].mean(), tiers[0].max()};
-    rep.util_delivery = {tiers[1].mean(), tiers[1].max()};
-    rep.util_fabric = {tiers[2].mean(), tiers[2].max()};
   }
   return rep;
 }
@@ -767,42 +764,6 @@ void NetworkSimulator::finish_flow_abort(FlowId id) {
   if (admission_->has_flow(id)) admission_->release(id);
   // Static sources keep producing into the closed flow; every refused
   // submission is counted (shed_submissions) as degradation.
-}
-
-std::uint64_t NetworkSimulator::total_frames_dropped() const {
-  std::uint64_t sum = 0;
-  for (const auto& s : sources_) sum += s->frames_dropped();
-  return sum;
-}
-
-std::uint64_t NetworkSimulator::total_messages_refused() const {
-  std::uint64_t sum = 0;
-  for (const auto& s : sources_) sum += s->messages_refused();
-  return sum;
-}
-
-std::uint64_t NetworkSimulator::total_order_errors() const {
-  std::uint64_t sum = 0;
-  for (const auto& s : switches_) sum += s->order_errors();
-  return sum;
-}
-
-std::uint64_t NetworkSimulator::total_order_errors_vc(VcId vc) const {
-  std::uint64_t sum = 0;
-  for (const auto& s : switches_) sum += s->order_errors_vc(vc);
-  return sum;
-}
-
-std::uint64_t NetworkSimulator::total_takeovers() const {
-  std::uint64_t sum = 0;
-  for (const auto& s : switches_) sum += s->takeovers();
-  return sum;
-}
-
-std::uint64_t NetworkSimulator::total_credit_stalls() const {
-  std::uint64_t sum = 0;
-  for (const auto& s : switches_) sum += s->counters().credit_stalls;
-  return sum;
 }
 
 }  // namespace dqos

@@ -219,15 +219,6 @@ class NetworkSimulator {
   /// through Channel::debug_corrupt_credits()).
   [[nodiscard]] Channel& channel(std::size_t i) { return *channels_.at(i); }
   [[nodiscard]] std::size_t num_channels() const { return channels_.size(); }
-  /// Sum of frames_dropped / messages_refused over every source.
-  [[nodiscard]] std::uint64_t total_frames_dropped() const;
-  [[nodiscard]] std::uint64_t total_messages_refused() const;
-
-  /// Sum of order errors / take-overs / credit stalls over all switches.
-  [[nodiscard]] std::uint64_t total_order_errors() const;
-  [[nodiscard]] std::uint64_t total_order_errors_vc(VcId vc) const;
-  [[nodiscard]] std::uint64_t total_takeovers() const;
-  [[nodiscard]] std::uint64_t total_credit_stalls() const;
 
  private:
   void build_topology();

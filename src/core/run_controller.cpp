@@ -28,36 +28,27 @@ ScenarioReport RunController::run() {
   window_end_ = window_start_ + cfg.measure;
   const TimePoint horizon = window_end_ + cfg.drain;
   metrics.set_window(window_start_, window_end_);
-  {
-    // Pre-size latency sample stores from the offered load so the
-    // measurement phase never reallocates mid-run. Worst case each class
-    // carries the whole offered load at the heaviest phase; SampleSet
-    // clamps at its cap, so an over-estimate only wastes address space,
-    // never memory commit. (For a one-phase scenario the peak is the
-    // config load and this reproduces the legacy arithmetic bit-for-bit.)
-    double peak_load = 0.0;
-    for (const PhaseSpec& ph : scn_.phases) {
-      peak_load = std::max(peak_load, ph.load);
-    }
-    const double offered_bytes = static_cast<double>(cfg.num_hosts()) *
-                                 peak_load * cfg.link_bw.bytes_per_sec() *
-                                 cfg.measure.sec();
-    double max_share = 0.0;
-    for (const PhaseSpec& ph : scn_.phases) {
-      for (const double s : ph.class_share) max_share = std::max(max_share, s);
-    }
-    const auto pkts = static_cast<std::size_t>(
-        offered_bytes * max_share / static_cast<double>(cfg.mtu_bytes)) + 64;
-    metrics.reserve_samples(pkts, pkts / 8 + 64);
+  // Pre-size latency sample stores from the offered load so the
+  // measurement phase never reallocates mid-run. Worst case each class
+  // carries the whole offered load at the heaviest phase; SampleSet
+  // clamps at its cap, so an over-estimate only wastes address space,
+  // never memory commit. (For a one-phase scenario the peak is the
+  // config load and this reproduces the legacy arithmetic bit-for-bit.)
+  double peak_load = 0.0;
+  double max_share = 0.0;
+  std::vector<TimePoint> starts;
+  for (const PhaseSpec& ph : scn_.phases) {
+    peak_load = std::max(peak_load, ph.load);
+    for (const double s : ph.class_share) max_share = std::max(max_share, s);
+    starts.push_back(window_start_ + ph.start);
   }
-  if (scn_.multi_phase()) {
-    std::vector<TimePoint> starts;
-    starts.reserve(scn_.phases.size());
-    for (const PhaseSpec& ph : scn_.phases) {
-      starts.push_back(window_start_ + ph.start);
-    }
-    metrics.set_phase_starts(std::move(starts));
-  }
+  const double offered_bytes = static_cast<double>(cfg.num_hosts()) *
+                               peak_load * cfg.link_bw.bytes_per_sec() *
+                               cfg.measure.sec();
+  const auto pkts = static_cast<std::size_t>(
+      offered_bytes * max_share / static_cast<double>(cfg.mtu_bytes)) + 64;
+  metrics.reserve_samples(pkts, pkts / 8 + 64);
+  metrics.set_phase_starts(std::move(starts));
 
   net_.prepare_workload(scn_);
   net_.start_sources(window_end_);
@@ -105,9 +96,7 @@ ScenarioReport RunController::run() {
                  : window_end_;
     pr.load = scn_.phases[i].load;
     for (const TrafficClass c : all_traffic_classes()) {
-      const auto ci = static_cast<std::size_t>(c);
-      pr.classes[ci] = scn_.multi_phase() ? metrics.phase_report(i, c)
-                                          : out.total.classes[ci];
+      pr.classes[static_cast<std::size_t>(c)] = metrics.phase_report(i, c);
     }
     pr.churn_arrivals = arrivals_[i];
     pr.churn_rejected = rejected_[i];

@@ -62,10 +62,14 @@ struct ClassReport {
   double deadline_miss_rate = 0.0;
 };
 
+/// One collector per run. Every sample lands in one per-class store for the
+/// whole measurement window; when a scenario arms more than one phase, it
+/// also lands in the store of the phase that created it. The whole-window
+/// store is kept in its own right, never merged from the phases: past the
+/// reservoir cap SampleSet quantiles come from P² estimators, which do not
+/// merge, and a Welford merge is not bit-identical to in-order adds.
 class MetricsCollector {
  public:
-  MetricsCollector();
-
   /// Only samples with creation time in [start, end) are recorded.
   void set_window(TimePoint start, TimePoint end);
 
@@ -76,21 +80,17 @@ class MetricsCollector {
   /// only address space: SampleSet clamps at its reservoir cap.
   void reserve_samples(std::size_t packets_per_class,
                        std::size_t messages_per_class);
-  [[nodiscard]] TimePoint window_start() const { return start_; }
-  [[nodiscard]] TimePoint window_end() const { return end_; }
 
   /// Arms per-phase sub-windows (scenario engine): `starts` are absolute
   /// phase boundaries, sorted ascending; the first must equal the window
   /// start and the last must precede the window end (phase i spans
   /// [starts[i], starts[i+1]), the final phase runs to the window end).
-  /// Call after set_window and before traffic flows. Single-phase runs
-  /// never call this, so the per-sample hooks stay branch-cheap.
+  /// Call after set_window and before traffic flows. A single start arms
+  /// nothing: the one phase is the whole window.
   void set_phase_starts(std::vector<TimePoint> starts);
-  [[nodiscard]] std::size_t num_phases() const { return phases_.size(); }
-  /// Per-phase analogue of report(): same indices over the phase's
-  /// sub-window. dropped_packets stays 0 per phase — the switch drop hook
-  /// carries no creation timestamp to attribute a drop to a phase; use
-  /// the whole-run report for drops.
+  /// report() over one phase's sub-window. Unarmed, phase 0 is the whole
+  /// window and this is report(). Armed, dropped_packets stays 0: the drop
+  /// hook carries no creation time to attribute a drop to a phase.
   [[nodiscard]] ClassReport phase_report(std::size_t phase, TrafficClass c) const;
 
   /// Hooks — wire these to the Hosts' callbacks. `slack` is the remaining
@@ -119,59 +119,52 @@ class MetricsCollector {
   /// bit-identical to the serial call sequence.
   void set_relay(MetricsCollector* primary, ShardWindowLog* log,
                  const bool* window_active);
-  /// Replays one deferred record on this (primary) collector.
+  /// Records one sample on this (primary) collector: the single
+  /// accumulator entry for hooks, forwards and replayed records alike.
   void apply(const DeferredEffect& e);
 
   [[nodiscard]] ClassReport report(TrafficClass c) const;
 
   /// Raw sample access for CDF curves.
   [[nodiscard]] const SampleSet& packet_latency(TrafficClass c) const {
-    return pkt_latency_[static_cast<std::size_t>(c)];
+    return whole_[static_cast<std::size_t>(c)].pkt_latency;
   }
   [[nodiscard]] const SampleSet& message_latency(TrafficClass c) const {
-    return msg_latency_[static_cast<std::size_t>(c)];
+    return whole_[static_cast<std::size_t>(c)].msg_latency;
   }
   [[nodiscard]] std::uint64_t delivered_bytes(TrafficClass c) const {
-    return bytes_delivered_[static_cast<std::size_t>(c)];
+    return whole_[static_cast<std::size_t>(c)].bytes_delivered;
   }
 
  private:
-  /// One phase's sub-window accumulators (mirrors the aggregate stores;
-  /// phases add *in addition to* the aggregates, never instead).
-  struct PhaseStore {
-    TimePoint start;
-    TimePoint end;
-    std::array<SampleSet, kNumTrafficClasses> pkt_latency;
-    std::array<SampleSet, kNumTrafficClasses> msg_latency;
-    std::array<std::uint64_t, kNumTrafficClasses> bytes_delivered{};
-    std::array<std::uint64_t, kNumTrafficClasses> bytes_offered{};
-    std::array<std::uint64_t, kNumTrafficClasses> messages{};
-    std::array<StreamingStats, kNumTrafficClasses> slack_us{};
-    std::array<std::uint64_t, kNumTrafficClasses> deadline_misses{};
-    std::array<std::uint64_t, kNumTrafficClasses> expired_packets{};
-    std::array<std::uint64_t, kNumTrafficClasses> expired_bytes{};
-    std::array<std::uint64_t, kNumTrafficClasses> goodput_bytes{};
+  /// One traffic class's accumulators over one (sub-)window.
+  struct ClassStore {
+    SampleSet pkt_latency;  ///< microseconds
+    SampleSet msg_latency;  ///< microseconds
+    std::uint64_t bytes_delivered = 0;
+    std::uint64_t bytes_offered = 0;
+    std::uint64_t messages = 0;
+    StreamingStats slack_us;
+    std::uint64_t deadline_misses = 0;
+    std::uint64_t goodput_bytes = 0;
+    std::uint64_t expired_packets = 0;
+    std::uint64_t expired_bytes = 0;
+    std::uint64_t dropped = 0;  ///< whole-window store only
+
+    /// One body per sample kind; the caller has already filtered and
+    /// picked the store.
+    void add(const DeferredEffect& e);
+    [[nodiscard]] ClassReport report(TrafficClass tc, double window_sec) const;
   };
+  using Store = std::array<ClassStore, kNumTrafficClasses>;
+
+  /// The relay decision: defer while the shard window is open, forward to
+  /// the primary outside it, or record here when this is the primary.
+  void post(const DeferredEffect& e);
 
   [[nodiscard]] bool in_window(TimePoint created) const {
     return created >= start_ && created < end_;
   }
-  /// Phase containing `t` (caller guarantees t is inside the window);
-  /// null when no phases are armed.
-  [[nodiscard]] PhaseStore* phase_of(TimePoint t) {
-    if (phases_.empty()) return nullptr;
-    std::size_t i = phases_.size() - 1;
-    while (i > 0 && t < phases_[i].start) --i;
-    return &phases_[i];
-  }
-
-  /// Shared accumulator bodies (primary-side): the public hooks and the
-  /// replay path both land here.
-  void record_packet_delivered(TrafficClass tclass, std::uint32_t size,
-                               TimePoint created, TimePoint now,
-                               Duration slack);
-  void record_packet_expired(TrafficClass tclass, std::uint32_t size,
-                             TimePoint created);
 
   TimePoint start_ = TimePoint::zero();
   TimePoint end_ = TimePoint::max();
@@ -179,18 +172,10 @@ class MetricsCollector {
   MetricsCollector* relay_primary_ = nullptr;
   ShardWindowLog* relay_log_ = nullptr;
   const bool* relay_window_ = nullptr;
-  std::vector<PhaseStore> phases_;  ///< empty unless set_phase_starts ran
-  std::array<SampleSet, kNumTrafficClasses> pkt_latency_;   // microseconds
-  std::array<SampleSet, kNumTrafficClasses> msg_latency_;   // microseconds
-  std::array<std::uint64_t, kNumTrafficClasses> bytes_delivered_{};
-  std::array<std::uint64_t, kNumTrafficClasses> bytes_offered_{};
-  std::array<std::uint64_t, kNumTrafficClasses> messages_{};
-  std::array<StreamingStats, kNumTrafficClasses> slack_us_{};
-  std::array<std::uint64_t, kNumTrafficClasses> deadline_misses_{};
-  std::array<std::uint64_t, kNumTrafficClasses> dropped_{};
-  std::array<std::uint64_t, kNumTrafficClasses> expired_packets_{};
-  std::array<std::uint64_t, kNumTrafficClasses> expired_bytes_{};
-  std::array<std::uint64_t, kNumTrafficClasses> goodput_bytes_{};
+  Store whole_;
+  /// Armed phases (empty unless set_phase_starts got two or more starts).
+  std::vector<TimePoint> phase_starts_;
+  std::vector<Store> phases_;  ///< parallel to phase_starts_
 };
 
 }  // namespace dqos

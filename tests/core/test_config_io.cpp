@@ -151,6 +151,7 @@ TEST(ConfigRoundTrip, ToStringAndBack) {
   original.best_effort_weight = 3.5;
   original.pattern.kind = PatternKind::kTornado;
   original.max_clock_skew = Duration::microseconds(42);
+  original.heap_op_latency = Duration::nanoseconds(150);
 
   const std::string path = testing::TempDir() + "/dqos_cfg_roundtrip.cfg";
   {
@@ -175,6 +176,7 @@ TEST(ConfigRoundTrip, ToStringAndBack) {
   EXPECT_DOUBLE_EQ(loaded.best_effort_weight, original.best_effort_weight);
   EXPECT_EQ(loaded.pattern.kind, original.pattern.kind);
   EXPECT_EQ(loaded.max_clock_skew, original.max_clock_skew);
+  EXPECT_EQ(loaded.heap_op_latency, original.heap_op_latency);
 }
 
 TEST(ConfigRoundTrip, ScaleKeysSurviveAndStayOffLegacyDumps) {

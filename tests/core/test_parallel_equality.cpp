@@ -101,10 +101,11 @@ void hook_hash(NetworkSimulator& net, StreamHash& h) {
 
 /// Per-class result rows formatted exactly like the golden determinism
 /// test, so "CSV bytes equal" means the figures would be byte-identical.
-std::string csv_bytes(const SimReport& rep) {
+std::string csv_bytes(
+    const std::array<ClassReport, kNumTrafficClasses>& classes) {
   std::string out;
   for (const TrafficClass c : all_traffic_classes()) {
-    const ClassReport& r = rep.of(c);
+    const ClassReport& r = classes[static_cast<std::size_t>(c)];
     char row[256];
     std::snprintf(row, sizeof row, "%s,%llu,%llu,%.3f,%.3f,%.1f,%.1f\n",
                   std::string(to_string(c)).c_str(),
@@ -121,6 +122,7 @@ struct RunResult {
   std::uint64_t hash = 0;
   std::string csv;
   SimReport rep;
+  std::vector<std::string> phase_csv;  ///< scenario runs: one per phase
 };
 
 RunResult run_config(const SimConfig& cfg,
@@ -132,7 +134,7 @@ RunResult run_config(const SimConfig& cfg,
   RunResult r;
   r.rep = net.run();
   r.hash = h.value();
-  r.csv = csv_bytes(r.rep);
+  r.csv = csv_bytes(r.rep.classes);
   return r;
 }
 
@@ -351,13 +353,22 @@ TEST(ParallelEquality, HierAdmissionChurnScenarioMatchesSerial) {
     RunResult r;
     r.rep = rep.total;
     r.hash = h.value();
-    r.csv = csv_bytes(r.rep);
+    r.csv = csv_bytes(r.rep.classes);
+    for (const PhaseReport& ph : rep.phases) {
+      r.phase_csv.push_back(csv_bytes(ph.classes));
+    }
     return r;
   };
   const RunResult serial = run_scn(1);
   const RunResult par = run_scn(3);
   EXPECT_EQ(par.hash, serial.hash);
   EXPECT_EQ(par.csv, serial.csv);
+  // Per-phase stores fill through the same relay replay as the total.
+  ASSERT_EQ(serial.phase_csv.size(), 2u);
+  ASSERT_EQ(par.phase_csv.size(), serial.phase_csv.size());
+  for (std::size_t i = 0; i < serial.phase_csv.size(); ++i) {
+    EXPECT_EQ(par.phase_csv[i], serial.phase_csv[i]) << "phase " << i;
+  }
   EXPECT_EQ(par.rep.events_processed, serial.rep.events_processed);
 }
 

@@ -100,12 +100,8 @@ int main(int argc, char** argv) {
   }
   ScenarioReport srep;
   try {
-    if (scn) {
-      RunController controller(net, *scn);
-      srep = controller.run();
-    } else {
-      srep.total = net.run();
-    }
+    srep = RunController(net, scn.value_or(Scenario::single_phase(net.config())))
+               .run();
   } catch (const AuditError& e) {
     // An invariant audit failed mid-run: print the diagnosis and the full
     // platform state dump the auditor captured at the failing epoch.

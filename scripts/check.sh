@@ -92,11 +92,16 @@ if [[ " ${presets[*]} " == *" tsan "* ]]; then
   # Sharded-engine smoke under TSAN: four shard calendars with worker
   # threads *forced* (shard_threads=1 overrides the single-core auto
   # fallback), so the window barrier, mailbox handoff and pool lanes run
-  # genuinely concurrent even on a one-core host (DESIGN.md §12).
+  # genuinely concurrent even on a one-core host (DESIGN.md §12). Its
+  # stdout must equal the serial run's byte for byte: the window drains'
+  # fire logs, replayed at the barriers, reproduce the serial kernel.
   echo "=== [tsan] sharded-engine smoke (4 shards, forced worker threads) ==="
+  build-tsan/tools/dqos_sim --config=configs/mesh16.cfg --measure-ms=2 \
+      > build-tsan/mesh16_serial.out
   build-tsan/tools/dqos_sim --config=configs/mesh16.cfg --shards=4 \
-      --shard-threads=1 --measure-ms=2 > /dev/null
-  echo "tsan shard smoke OK"
+      --shard-threads=1 --measure-ms=2 > build-tsan/mesh16_shards4.out
+  cmp build-tsan/mesh16_serial.out build-tsan/mesh16_shards4.out
+  echo "tsan shard smoke OK (serial == 4 threaded shards)"
 fi
 
 if [[ " ${presets[*]} " == *" asan "* ]]; then
@@ -218,12 +223,6 @@ else:
 PYGATE
   echo "bench gate OK: $gate_json"
 
-  # Scaling gate (core-count gated): on a multi-core machine, 2 shards
-  # with auto worker threads must stay within 10% of the serial engine on
-  # the quick scaling bench — the parallel machinery has to at least pay
-  # for itself before any PR can lean on it. A single-core host cannot
-  # show speedup (the inline engine adds real window-barrier overhead, see
-  # EXPERIMENTS.md P1), so there the ratio prints informationally only.
   # Scale smoke (DESIGN.md §13, EXPERIMENTS.md SC1): a 512-host 8-ary
   # 3-tree churn scenario with hierarchical pod admission, bounded fanout,
   # the sharded engine and the invariant auditor armed — gated on peak RSS
@@ -259,6 +258,12 @@ PYRSS
   fi
   echo "scale smoke OK (512 hosts, hierarchical admission)"
 
+  # Scaling gate (core-count gated): on a multi-core machine, 2 shards
+  # with auto worker threads must stay within 10% of the serial engine on
+  # the quick scaling bench — the parallel machinery has to at least pay
+  # for itself before any PR can lean on it. A single-core host cannot
+  # show speedup (the inline engine adds real window-barrier overhead, see
+  # EXPERIMENTS.md P1), so there the ratio prints informationally only.
   scaling_json=build-bench/bench_scaling_smoke.json
   build-bench/bench/bench_perf --sections=shards_1,shards_2 --quick \
       --json="$scaling_json"

@@ -29,11 +29,21 @@ std::string SimConfig::check() const {
     return "vc-weights must list exactly one weight per VC";
   }
   if (!link_bw.valid()) return "link-gbps must be positive";
+  if (link_latency < Duration::zero()) {
+    return "link-latency-ns must be non-negative";
+  }
+  if (mtu_bytes <= kHeaderBytes) return "mtu must exceed the packet header";
   if (buffer_bytes_per_vc < mtu_bytes + kHeaderBytes) {
     return "buffer-bytes must hold at least one MTU packet plus header";
   }
   if (warmup < Duration::zero()) return "warmup-ms must be non-negative";
   if (measure <= Duration::zero()) return "measure-ms must be positive";
+  if (!(video.mean_bytes_per_sec > 0.0)) {
+    return "video-rate-mbs must be positive";
+  }
+  if (video_frame_budget <= Duration::zero()) {
+    return "frame-budget-ms must be positive";
+  }
   double share_sum = 0.0;
   for (const double s : class_share) {
     if (s < 0.0) return "class shares must be non-negative";

@@ -3,9 +3,10 @@
 /// example and the dqos_sim tool accept one uniform set of switches:
 ///
 ///   --arch=traditional|ideal|simple|advanced   --load=0.8
-///   --topology=clos|kary|single  --leaves=16 --hosts-per-leaf=8 --spines=8
-///   --kary-k=4 --kary-n=2  --hosts=16
-///   --vcs=2 --vc-weights=8,4,2,1 --buffer=8192 --speedup=2.0
+///   --topology=clos|kary|single|mesh
+///   --leaves=16 --hosts-per-leaf=8 --spines=8  --kary-k=4 --kary-n=2
+///   --hosts=16  --mesh-width=4 --mesh-height=4 --mesh-concentration=2
+///   --vcs=2 --vc-weights=8,4,2,1 --buffer=8192
 ///   --link-gbps=8 --link-latency-ns=100 --mtu=2048
 ///   --measure-ms=20 --warmup-ms=2 --drain-ms=3 --seed=1
 ///   --no-video --no-control --no-besteffort --no-background

@@ -70,6 +70,13 @@ void ShardExecutor::set_fire_hook(Callback<void(std::uint64_t, TimePoint)> hook)
   }
 }
 
+void ShardExecutor::align_clocks(TimePoint t) {
+  if (control_.now() < t) control_.advance_to(t);
+  for (const std::unique_ptr<Simulator>& sim : sims_) {
+    if (sim->now() < t) sim->advance_to(t);
+  }
+}
+
 std::int64_t ShardExecutor::peek_time(Simulator& sim) {
   std::int64_t tps = 0;
   std::uint64_t seq = 0;
@@ -218,10 +225,7 @@ void ShardExecutor::run_instant(std::int64_t t_ps) {
   // shard's components (retarget a source, open a flow), and those read
   // their own calendar's now() — which must equal the instant, exactly as
   // in the serial run, even on shards with no event due here.
-  if (control_.now() < limit) control_.advance_to(limit);
-  for (const std::unique_ptr<Simulator>& sim : sims_) {
-    if (sim->now() < limit) sim->advance_to(limit);
-  }
+  align_clocks(limit);
   // Interleave every calendar's events at this instant in global
   // (time, seq) order — all keys are final outside windows, so the
   // comparison is exact. New events scheduled at the same instant join the
@@ -270,10 +274,7 @@ void ShardExecutor::run_until(TimePoint t) {
     DQOS_ASSERT(horizon > t_min);
     run_window(horizon - 1);
   }
-  if (control_.now() < t) control_.advance_to(t);
-  for (const std::unique_ptr<Simulator>& sim : sims_) {
-    if (sim->now() < t) sim->advance_to(t);
-  }
+  align_clocks(t);
 }
 
 }  // namespace dqos

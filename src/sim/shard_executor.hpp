@@ -120,6 +120,8 @@ class ShardExecutor {
 
  private:
   static std::int64_t peek_time(Simulator& sim);
+  /// Advances every clock (control + shards) still before `t` to `t`.
+  void align_clocks(TimePoint t);
   void run_window(std::int64_t limit_ps);
   void run_instant(std::int64_t t_ps);
   void merge_and_transfer();

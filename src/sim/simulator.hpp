@@ -37,6 +37,7 @@
 /// are no-ops.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -84,7 +85,7 @@ class Simulator {
   void cancel(EventId id);
 
   /// Fires the next event. Returns false when the calendar is empty.
-  bool step();
+  bool step() { return step_due(TimePoint::max()); }
 
   /// Runs events with time <= `t`, then advances the clock to exactly `t`
   /// (even if the calendar empties earlier). Implemented as repeated
@@ -93,12 +94,13 @@ class Simulator {
 
   /// Batch drain (DESIGN.md §11): fires every event due at or before
   /// `limit` out of the current bottom-rung window in one pass, skipping
-  /// in-place tombstones in bulk and deferring the ring-maintenance checks
+  /// in-place tombstones in bulk and deferring the ring-maintenance check
   /// to the batch boundary. Exactly the (time, seq) order of repeated
   /// step() calls — the rung is sorted, closures scheduled from inside the
   /// batch splice into it at their sorted position, and rebuild timing
   /// never affects fire order. Returns false when nothing at or before
-  /// `limit` remains; run()/run_until() are loops over this.
+  /// `limit` remains; run()/run_until() are loops over this. step_due,
+  /// drain_due and drain_window share one per-event fire body (§7).
   bool drain_due(TimePoint limit);
 
   /// Convenience: run_until(now + d).
@@ -168,15 +170,17 @@ class Simulator {
   /// bottom rung (amortized; identical to what the next pop would do).
   bool peek_next(std::int64_t& time_ps, std::uint64_t& seq);
 
-  /// Fires the next event only if it is due at or before `limit`. The
-  /// engine uses this to interleave several calendars at one instant in
-  /// global (time, seq) order.
+  /// Fires the next event only if it is due at or before `limit`, then
+  /// runs the ring-maintenance check. The engine uses this to interleave
+  /// several calendars at one instant in global (time, seq) order; step()
+  /// is step_due without a limit.
   bool step_due(TimePoint limit);
 
-  /// Window-mode batch drain: like drain_due, but records a FireRec (fire
-  /// key + kid/effect ranges) per event into `log` and does NOT invoke the
-  /// fire hook — the engine emits the hook stream at the barrier merge,
-  /// once keys are final. Requires set_window_log(&log) to be in effect.
+  /// Window-mode batch drain: drain_due's body with a different observer —
+  /// it records a FireRec (fire key + kid/effect ranges) per event into
+  /// `log` and does NOT invoke the fire hook (the engine emits the hook
+  /// stream at the barrier merge, once keys are final). Requires
+  /// set_window_log(&log) to be in effect.
   bool drain_window(TimePoint limit, ShardWindowLog& log);
 
   /// Advances the clock without firing anything (the engine aligns every
@@ -193,9 +197,9 @@ class Simulator {
   struct Slot {
     InlineTask fn;
     /// Copy of the entry's ordering key, written at schedule time: cancel()
-    /// uses `time_ps < bottom_end_ps_` to decide whether the entry already
-    /// sits in the (sorted) bottom rung and, if so, binary-searches it by
-    /// (time, seq) instead of scanning.
+    /// and rekey() use `time_ps < bottom_end_ps_` to decide whether the
+    /// entry already sits in the (sorted) bottom rung and, if so, find it
+    /// by (time, seq) binary search (rung_find) instead of scanning.
     std::int64_t time_ps = 0;
     std::uint64_t seq = 0;
     std::uint32_t gen = 1;
@@ -228,24 +232,30 @@ class Simulator {
   static EventId make_id(std::uint32_t gen, std::uint32_t slot) {
     return (static_cast<EventId>(gen) << 32) | slot;
   }
+  /// The live slot `id` names; nullptr for a stale or unknown handle.
+  Slot* live_slot(EventId id);
+  /// The ring bucket an entry due at `time_ps` belongs in.
+  std::vector<CalEntry>& bucket_of(std::int64_t time_ps) {
+    return buckets_[static_cast<std::size_t>(time_ps >> width_shift_) &
+                    bucket_mask_];
+  }
 
   /// Strict total order of the calendar: earliest time first, FIFO among
   /// simultaneous events. Implementation-independent — any structure that
   /// pops in this order reproduces the golden fire sequence bit-for-bit.
-  static bool earlier(const CalEntry& a, const CalEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-  /// Function-object form for the sort/lower_bound call sites: a stateless
-  /// functor inlines per comparison where a function pointer compiles to an
-  /// indirect call — measurable on the refill path, which sorts ~a handful
-  /// of entries a million times per second.
+  /// A stateless functor, not a function: at the sort/lower_bound call
+  /// sites it inlines per comparison where a function pointer compiles to
+  /// an indirect call — measurable on the refill path, which sorts ~a
+  /// handful of entries a million times per second.
   struct Earlier {
     bool operator()(const CalEntry& a, const CalEntry& b) const {
-      return earlier(a, b);
+      if (a.time != b.time) return a.time < b.time;
+      return a.seq < b.seq;
     }
   };
 
+  /// The one insert body behind schedule_at and schedule_keyed.
+  EventId insert_event(TimePoint t, std::uint64_t seq, InlineTask&& fn);
   void push_entry(CalEntry e);
   /// Refills the sorted bottom rung with the next non-empty bucket-year's
   /// due entries: sweeps forward from the bucket containing bottom_end_,
@@ -261,12 +271,32 @@ class Simulator {
   /// kRebuildPeriod pops.
   void rebuild();
   [[nodiscard]] unsigned estimate_width_shift();
+  /// Rebuilds every kRebuildPeriod pops or when the ring is 8x under-full.
+  void maintain();
+  /// Frees a lazily-cancelled bucket entry's slot; false for a live entry.
+  bool reclaimed(const CalEntry& e);
   void free_slot(std::uint32_t slot);
-  /// Pops due entries, skipping tombstones; returns false when the calendar
-  /// is empty or the earliest live entry is after `limit` (nothing is
-  /// extracted in that case). On success the slot is already recycled and
-  /// the closure moved to `fn`.
-  bool pop_next(TimePoint limit, TimePoint& t, std::uint64_t& seq, InlineTask& fn);
+  /// First unconsumed rung entry not earlier than `key` (binary search).
+  std::vector<CalEntry>::iterator rung_bound(const CalEntry& key) {
+    return std::lower_bound(
+        bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_idx_),
+        bottom_.end(), key, Earlier{});
+  }
+  /// The rung entry of a harvested live slot (cancel and rekey's locate).
+  std::vector<CalEntry>::iterator rung_find(std::uint32_t slot);
+  /// The one head accessor: skips in-place tombstones and, if `refill`,
+  /// harvests the next bucket-year once the rung runs dry. True: the rung
+  /// head is live. False: the calendar (without `refill`: the rung) is empty.
+  bool live_head(bool refill);
+  /// The one per-event fire body: extracts the rung head, frees its slot,
+  /// advances the clock, counts the fire, then runs obs.pre_fire(seq, t),
+  /// the closure and obs.post_fire(). The observer is a compile-time
+  /// parameter, so neither drain pays a per-event mode branch.
+  template <class Observer>
+  void fire(CalEntry head, Observer&& obs);
+  /// The one drain body behind drain_due and drain_window.
+  template <class Observer>
+  bool drain(TimePoint limit, Observer&& obs);
 
   TimePoint now_ = TimePoint::zero();
   std::uint64_t next_seq_ = 1;

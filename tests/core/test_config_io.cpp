@@ -244,6 +244,20 @@ TEST(ConfigFromArgsErrors, OutOfRangeValues) {
   EXPECT_NE(error_of({"--leaves=0"}), "");
 }
 
+TEST(ConfigFromArgsErrors, ValuesThatWouldTripComponentContracts) {
+  // Each of these used to pass config_from_args and then abort inside a
+  // component constructor (Channel, Host, DeadlineStamper, LogNormal).
+  EXPECT_NE(error_of({"--link-latency-ns=-5"}).find("link-latency-ns"),
+            std::string::npos);
+  EXPECT_NE(error_of({"--mtu=0"}).find("mtu"), std::string::npos);
+  EXPECT_NE(error_of({"--frame-budget-ms=-1"}).find("frame-budget-ms"),
+            std::string::npos);
+  EXPECT_NE(error_of({"--frame-budget-ms=0"}), "");
+  EXPECT_NE(error_of({"--video-rate-mbs=0"}).find("video-rate-mbs"),
+            std::string::npos);
+  EXPECT_EQ(error_of({"--link-latency-ns=0"}), "");  // zero-latency wires
+}
+
 TEST(ConfigFromArgsErrors, UnknownEnumerations) {
   const std::string arch = error_of({"--arch=quantum"});
   EXPECT_NE(arch.find("traditional|ideal|simple|advanced"), std::string::npos)

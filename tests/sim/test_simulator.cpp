@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/shard_link.hpp"
 #include "util/rng.hpp"
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 namespace dqos {
@@ -414,6 +416,200 @@ TEST(Simulator, InterleavedCancelRescheduleKeepsFifoOrder) {
   std::vector<int> expect;
   for (int i = 0; i < 20; i += 2) expect.push_back(i);
   EXPECT_EQ(order, expect);
+}
+
+// --- stepping, peeking, keyed scheduling and window drains ------------------
+
+/// Records the fire-hook stream: one (seq, time) pair per fired event.
+struct HookLog {
+  std::vector<std::pair<std::uint64_t, std::int64_t>> fires;
+  static void record(void* ctx, std::uint64_t seq, TimePoint t) {
+    static_cast<HookLog*>(ctx)->fires.emplace_back(seq, t.ps());
+  }
+  void attach(Simulator& sim) {
+    sim.set_fire_hook(
+        Callback<void(std::uint64_t, TimePoint)>(&HookLog::record, this));
+  }
+};
+
+TEST(Simulator, StepDueStopsAtTheLimitAndMatchesStep) {
+  // Twin calendars get the same schedule calls, interleaved with firing:
+  // one fires through step(), the other through step_due(limit) batches.
+  // step_due never fires past its limit, and both hook streams agree.
+  Simulator a, b;
+  HookLog ha, hb;
+  ha.attach(a);
+  hb.attach(b);
+  Rng rng(7);
+  std::int64_t limit_ps = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 8; ++i) {
+      const auto dt = static_cast<std::int64_t>(rng.uniform_int(0, 3000));
+      a.schedule_at(a.now() + Duration::picoseconds(dt), [] {});
+      b.schedule_at(b.now() + Duration::picoseconds(dt), [] {});
+    }
+    limit_ps += 1500;
+    const TimePoint limit = TimePoint::from_ps(limit_ps);
+    while (b.step_due(limit)) {
+      EXPECT_LE(b.now().ps(), limit_ps);
+    }
+    const std::size_t fired_b = hb.fires.size();
+    while (ha.fires.size() < fired_b) ASSERT_TRUE(a.step());
+    ASSERT_EQ(ha.fires, hb.fires);
+    EXPECT_EQ(a.events_pending(), b.events_pending());
+    if (b.events_pending() != 0) {
+      std::int64_t t = 0;
+      std::uint64_t seq = 0;
+      ASSERT_TRUE(b.peek_next(t, seq));
+      EXPECT_GT(t, limit_ps);  // the limit left this one queued
+    }
+  }
+  while (a.step()) {
+  }
+  while (b.step_due(TimePoint::max())) {
+  }
+  EXPECT_EQ(ha.fires, hb.fires);
+  EXPECT_FALSE(b.step_due(TimePoint::max()));
+}
+
+TEST(Simulator, PeekSkipsACancelledRungHead) {
+  Simulator sim;
+  HookLog hook;
+  hook.attach(sim);
+  const EventId first = sim.schedule_at(TimePoint::from_ps(100), [] {});
+  sim.schedule_at(TimePoint::from_ps(100), [] {});
+  sim.schedule_at(TimePoint::from_ps(150), [] {});
+  std::int64_t t = 0;
+  std::uint64_t seq = 0;
+  ASSERT_TRUE(sim.peek_next(t, seq));  // harvests all three into the rung
+  EXPECT_EQ(t, 100);
+  EXPECT_EQ(seq, 1u);
+  sim.cancel(first);  // an in-rung tombstone at the head
+  EXPECT_EQ(sim.cancelled_pending(), 0u);
+  ASSERT_TRUE(sim.peek_next(t, seq));
+  EXPECT_EQ(t, 100);
+  EXPECT_EQ(seq, 2u);
+  ASSERT_TRUE(sim.step());
+  ASSERT_EQ(hook.fires.size(), 1u);
+  EXPECT_EQ(hook.fires[0], std::make_pair(seq, t));
+  ASSERT_TRUE(sim.peek_next(t, seq));
+  EXPECT_EQ(t, 150);
+  EXPECT_EQ(seq, 3u);
+  ASSERT_TRUE(sim.step());
+  EXPECT_FALSE(sim.peek_next(t, seq));
+}
+
+TEST(Simulator, ScheduleKeyedOrdersSameInstantBySeq) {
+  Simulator sim;
+  HookLog hook;
+  hook.attach(sim);
+  std::vector<int> order;
+  sim.schedule_keyed(TimePoint::from_ps(500), 30, [&] { order.push_back(30); });
+  sim.schedule_keyed(TimePoint::from_ps(500), 10, [&] { order.push_back(10); });
+  sim.schedule_keyed(TimePoint::from_ps(500), 20, [&] { order.push_back(20); });
+  sim.schedule_keyed(TimePoint::from_ps(400), 40, [&] { order.push_back(40); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{40, 10, 20, 30}));
+  const std::vector<std::pair<std::uint64_t, std::int64_t>> expect = {
+      {40, 400}, {10, 500}, {20, 500}, {30, 500}};
+  EXPECT_EQ(hook.fires, expect);
+}
+
+TEST(Simulator, RekeyReordersRungAndBucketEntries) {
+  Simulator sim;
+  std::vector<int> order;
+  // Rung entry: harvested by the peek, then rekeyed 10 -> 40. A later
+  // keyed insert at seq 20 must now fire before it.
+  const TimePoint t0 = TimePoint::from_ps(100);
+  const EventId a = sim.schedule_keyed(t0, 10, [&] { order.push_back(1); });
+  sim.schedule_keyed(t0, 50, [&] { order.push_back(2); });
+  std::int64_t t = 0;
+  std::uint64_t seq = 0;
+  ASSERT_TRUE(sim.peek_next(t, seq));
+  EXPECT_EQ(seq, 10u);
+  EXPECT_TRUE(sim.rekey(a, 40));
+  sim.schedule_keyed(t0, 20, [&] { order.push_back(3); });
+  ASSERT_TRUE(sim.peek_next(t, seq));
+  EXPECT_EQ(seq, 20u);
+  // Bucketed entries (far past the harvested window): an unsorted bucket
+  // may be rekeyed into any order.
+  const TimePoint t1 = TimePoint::from_ps(1'000'000);
+  const EventId x = sim.schedule_keyed(t1, 60, [&] { order.push_back(4); });
+  sim.schedule_keyed(t1, 70, [&] { order.push_back(5); });
+  EXPECT_TRUE(sim.rekey(x, 80));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{3, 1, 2, 5, 4}));
+  // Stale handles: fired, and cancelled.
+  EXPECT_FALSE(sim.rekey(a, 90));
+  const EventId c = sim.schedule_after(Duration::nanoseconds(1), [] {});
+  sim.cancel(c);
+  EXPECT_FALSE(sim.rekey(c, 91));
+  sim.run();
+}
+
+/// Fires a tagged event: logs the tag, and a root (tag < 100) schedules
+/// two kids — one at the same instant, one 700 ps later.
+void fire_tagged(Simulator& sim, std::vector<int>& order, int tag) {
+  order.push_back(tag);
+  if (tag >= 100) return;
+  sim.schedule_after(Duration::zero(), [&sim, &order, tag] {
+    fire_tagged(sim, order, tag * 100 + 1);
+  });
+  sim.schedule_after(Duration::picoseconds(700), [&sim, &order, tag] {
+    fire_tagged(sim, order, tag * 100 + 2);
+  });
+}
+
+void schedule_roots(Simulator& sim, std::vector<int>& order) {
+  for (int r = 1; r < 40; ++r) {
+    sim.schedule_at(TimePoint::from_ps((r * 379) % 5000), [&sim, &order, r] {
+      fire_tagged(sim, order, r);
+    });
+  }
+}
+
+TEST(Simulator, DrainWindowLogsTheSerialFireOrder) {
+  // A window-mode calendar and a serial twin get the same schedule. The
+  // window drain must fire in the serial drain's order, log one FireRec
+  // per event with that event's kid range, and leave the hook silent.
+  Simulator serial, windowed;
+  HookLog hs, hw;
+  hs.attach(serial);
+  hw.attach(windowed);
+  std::vector<int> order_s, order_w;
+  schedule_roots(serial, order_s);
+  schedule_roots(windowed, order_w);
+  const TimePoint limit = TimePoint::from_ps(3000);
+  while (serial.drain_due(limit)) {
+  }
+  ShardWindowLog log;
+  log.reset(Simulator::kProvSeqBase);
+  windowed.set_window_log(&log);
+  while (windowed.drain_window(limit, log)) {
+  }
+  windowed.set_window_log(nullptr);
+
+  EXPECT_TRUE(hw.fires.empty());
+  ASSERT_FALSE(order_s.empty());
+  EXPECT_EQ(order_w, order_s);
+  ASSERT_EQ(log.fires.size(), hs.fires.size());
+  std::uint32_t next_kid = 0;
+  for (std::size_t i = 0; i < log.fires.size(); ++i) {
+    const ShardWindowLog::FireRec& rec = log.fires[i];
+    EXPECT_EQ(rec.time_ps, hs.fires[i].second);
+    // Pre-window events keep their final seq; window kids carry
+    // provisional keys that the engine's merge would replace.
+    if (rec.key < Simulator::kProvSeqBase) {
+      EXPECT_EQ(rec.key, hs.fires[i].first);
+    }
+    EXPECT_EQ(rec.kid_begin, next_kid);
+    EXPECT_EQ(rec.kid_end - rec.kid_begin, order_w[i] < 100 ? 2u : 0u);
+    EXPECT_EQ(rec.fx_begin, rec.fx_end);
+    next_kid = rec.kid_end;
+  }
+  EXPECT_EQ(next_kid, log.kids.size());
+  EXPECT_EQ(windowed.events_pending(), serial.events_pending());
+  EXPECT_EQ(windowed.now(), serial.now());
 }
 
 }  // namespace

@@ -29,8 +29,10 @@ void print_usage() {
   std::puts(
       "usage: dqos_sim [--config=FILE] [--scenario=FILE]\n"
       "                [--arch=traditional|ideal|simple|advanced]\n"
-      "                [--topology=clos|kary|single] [--load=F] [--seed=N]\n"
-      "                [--leaves=N --hosts-per-leaf=N --spines=N]\n"
+      "                [--topology=clos|kary|single|mesh] [--load=F]\n"
+      "                [--seed=N] [--leaves=N --hosts-per-leaf=N --spines=N]\n"
+      "                [--mesh-width=N --mesh-height=N\n"
+      "                 --mesh-concentration=N]\n"
       "                [--measure-ms=N] [--csv=FILE] [--dump-config]\n"
       "                [--fault-inject --fault-link-down-per-sec=F\n"
       "                 --fault-credit-loss-per-sec=F --watchdog-ms=N] ...\n"
